@@ -122,7 +122,7 @@ fn bench_aggregation_kernel(c: &mut Criterion) {
 fn bench_move_strategy(c: &mut Criterion) {
     // The two instances the baseline binary pins: planted communities and
     // skewed degrees. The move phase starts from singletons (its worst
-    // case) so all three strategies do the same logical work.
+    // case) so both strategies do the same logical work.
     let (lfr_graph, _) = lfr(LfrParams::benchmark(20_000, 0.3), 42);
     let rmat_graph = rmat(RmatParams::paper_with_edge_factor(15, 16), 42);
     let instances = [("lfr_20k", &lfr_graph), ("rmat_s15", &rmat_graph)];
@@ -137,11 +137,7 @@ fn bench_move_strategy(c: &mut Criterion) {
         // per-level setup PLM amortizes over all sweeps; timed separately
         // below, so the per-strategy numbers compare per-sweep work
         let coloring = Coloring::compute(g);
-        for strategy in [
-            MoveStrategy::Racy,
-            MoveStrategy::Coloring,
-            MoveStrategy::Synchronized,
-        ] {
+        for strategy in MoveStrategy::ALL {
             for threads in [1usize, 2, 4] {
                 group.bench_function(&format!("{name}_{strategy}_t{threads}"), |b| {
                     b.iter(|| {

@@ -9,7 +9,7 @@
 //! serving comparison: the same detection request against a running
 //! `parcom-serve` daemon holding the graph in memory versus the cold
 //! parse-then-detect path a CLI invocation pays, and a move-strategy
-//! comparison (racy vs coloring vs sync move phases at 1/2/4 threads, plus
+//! comparison (racy vs coloring move phases at 1/2/4 threads, plus
 //! the coloring setup cost) on both instances, and a memory-format
 //! comparison (DESIGN.md §15): parallel METIS text parse vs `.pcg` binary
 //! reopen on the ~1M-edge instance, plus the cache effect of degree-ordered
@@ -635,17 +635,13 @@ struct StrategyResult {
     modularity: f64,
 }
 
-/// Times the three move-phase strategies on one instance at 1/2/4-thread
+/// Times both move-phase strategies on one instance at 1/2/4-thread
 /// pools (this container may have fewer cores — oversubscribed pools still
 /// exercise the schedule, so the timings are honest for the box they ran
 /// on), plus the coloring strategy's per-level setup cost.
 fn measure_move_strategies(name: &str, g: &Graph) -> Vec<StrategyResult> {
     let mut results = Vec::new();
-    for strategy in [
-        MoveStrategy::Racy,
-        MoveStrategy::Coloring,
-        MoveStrategy::Synchronized,
-    ] {
+    for strategy in MoveStrategy::ALL {
         // The coloring is per-level setup PLM amortizes over every sweep
         // of the level (move + refinement), so it is timed apart from the
         // per-sweep move work.

@@ -1,27 +1,19 @@
-//! Conflict-free PLM move phases: the [`MoveStrategy`] knob and the
-//! coloring-isolated and synchronized alternatives to the racy default.
+//! The conflict-free PLM move phase: the [`MoveStrategy`] knob and the
+//! coloring-isolated alternative to the racy default.
 //!
 //! The paper's move phase (§III-B, [`crate::move_phase`]) lets every node
 //! move concurrently against *stale* labels and volumes: fast, but the
 //! result depends on the thread schedule, and contended volume cache lines
-//! cost throughput at high core counts. Two grounded alternatives trade a
-//! little per-sweep freshness for schedule independence (DESIGN.md §14):
+//! cost throughput at high core counts. The coloring phase trades a little
+//! per-sweep freshness for schedule independence (DESIGN.md §14): a
+//! distance-1 coloring ([`parcom_graph::Coloring`]) splits the nodes into
+//! independent sets; each class moves fully in parallel with no atomics
+//! and no stale neighbor labels (no two neighbors move in the same step),
+//! classes committing one after the other in fixed order. The VFC-Louvain
+//! vertex-following trick keeps degree-1 nodes out of the coloring and
+//! moves them as one final class.
 //!
-//! * **Coloring** — a distance-1 coloring ([`parcom_graph::Coloring`])
-//!   splits the nodes into independent sets; each class moves fully in
-//!   parallel with no atomics and no stale neighbor labels (no two
-//!   neighbors move in the same step), classes committing one after the
-//!   other in fixed order. The VFC-Louvain vertex-following trick keeps
-//!   degree-1 nodes out of the coloring and moves them as one final class.
-//! * **Synchronized** — every node proposes its best move against the
-//!   frozen previous sweep (Chiêm et al. 2017); proposals commit in one
-//!   deterministic pass in node order. The label-chasing oscillation this
-//!   enables is damped twice: singleton-to-singleton moves only go toward
-//!   the smaller community id (Lu et al.'s minimum-label rule), and a
-//!   sweep that fails to improve a deterministically-evaluated modularity
-//!   is rolled back, ending the phase.
-//!
-//! Both phases keep all decision-relevant floating-point accumulation
+//! The phase keeps all decision-relevant floating-point accumulation
 //! sequential or per-node (never a parallel reduction), so the resulting
 //! partitions are bit-identical at any thread count and across repeated
 //! runs — the determinism contract `parcom-serve` relies on.
@@ -44,26 +36,17 @@ pub enum MoveStrategy {
     /// adjacent nodes, hence no stale neighbor labels and no atomics.
     /// Deterministic at any thread count.
     Coloring,
-    /// All nodes propose against the frozen previous sweep; one
-    /// deterministic commit per sweep with oscillation damping.
-    /// Deterministic at any thread count.
-    Synchronized,
 }
 
 impl MoveStrategy {
     /// Every strategy, in wire-name order.
-    pub const ALL: [MoveStrategy; 3] = [
-        MoveStrategy::Racy,
-        MoveStrategy::Coloring,
-        MoveStrategy::Synchronized,
-    ];
+    pub const ALL: [MoveStrategy; 2] = [MoveStrategy::Racy, MoveStrategy::Coloring];
 
     /// The wire name used by the `move=` spec knob and the CLI flag.
     pub fn wire_name(self) -> &'static str {
         match self {
             MoveStrategy::Racy => "racy",
             MoveStrategy::Coloring => "coloring",
-            MoveStrategy::Synchronized => "sync",
         }
     }
 
@@ -81,7 +64,7 @@ impl MoveStrategy {
     /// Whether this strategy guarantees bit-identical output at any
     /// thread count.
     pub fn is_deterministic(self) -> bool {
-        !matches!(self, MoveStrategy::Racy)
+        self == MoveStrategy::Coloring
     }
 }
 
@@ -99,7 +82,7 @@ impl std::str::FromStr for MoveStrategy {
     }
 }
 
-/// The frozen per-sweep state a proposal is evaluated against.
+/// The frozen per-class state a proposal is evaluated against.
 struct MoveState<'a> {
     labels: &'a [u32],
     volumes: &'a [f64],
@@ -173,19 +156,13 @@ fn propose(
     state: &MoveState<'_>,
     scratch: &ScratchPool,
     capacity: usize,
-    filter: impl Fn(Node, u32) -> bool + Sync,
 ) -> Vec<(Node, u32)> {
     if nodes.len() < SEQUENTIAL_PROPOSE_CUTOFF || rayon::current_num_threads() == 1 {
         let mut weight_to = scratch.take(capacity);
-        let mut out = Vec::new();
-        for &u in nodes {
-            if let Some(d) = best_move(g, u, state, &mut weight_to) {
-                if filter(u, d) {
-                    out.push((u, d));
-                }
-            }
-        }
-        return out;
+        return nodes
+            .iter()
+            .filter_map(|&u| best_move(g, u, state, &mut weight_to).map(|d| (u, d)))
+            .collect();
     }
     nodes
         .par_iter()
@@ -193,9 +170,7 @@ fn propose(
             || (scratch.take(capacity), Vec::new()),
             |(mut weight_to, mut out), &u| {
                 if let Some(d) = best_move(g, u, state, &mut weight_to) {
-                    if filter(u, d) {
-                        out.push((u, d));
-                    }
+                    out.push((u, d));
                 }
                 (weight_to, out)
             },
@@ -208,20 +183,6 @@ fn propose(
             },
         )
         .1
-}
-
-/// Shared setup of both deterministic phases: compacted labels, community
-/// volumes accumulated *sequentially* in node order (a parallel reduction
-/// would make the sums depend on the thread-count-driven split points).
-fn deterministic_state(g: &Graph, zeta: &mut Partition) -> (Vec<u32>, Vec<f64>, usize) {
-    zeta.compact();
-    let k = (zeta.upper_bound() as usize).max(1);
-    let labels: Vec<u32> = zeta.as_slice().to_vec();
-    let mut volumes = vec![0.0f64; k];
-    for u in g.nodes() {
-        volumes[labels[u as usize] as usize] += g.volume(u);
-    }
-    (labels, volumes, k)
 }
 
 /// The coloring-isolated move phase. Sweeps until stable or
@@ -249,7 +210,16 @@ pub(crate) fn move_phase_colored(
     if total == 0.0 {
         return (0, Termination::Converged);
     }
-    let (mut labels, mut volumes, k) = deterministic_state(g, zeta);
+    // Compacted labels; community volumes accumulated *sequentially* in
+    // node order (a parallel reduction would make the sums depend on the
+    // thread-count-driven split points).
+    zeta.compact();
+    let k = (zeta.upper_bound() as usize).max(1);
+    let mut labels: Vec<u32> = zeta.as_slice().to_vec();
+    let mut volumes = vec![0.0f64; k];
+    for u in g.nodes() {
+        volumes[labels[u as usize] as usize] += g.volume(u);
+    }
 
     let mut total_moves = 0u64;
     let mut termination = Termination::Converged;
@@ -280,7 +250,7 @@ pub(crate) fn move_phase_colored(
                 total,
                 gamma,
             };
-            let proposals = propose(g, class, &state, scratch, k, |_, _| true);
+            let proposals = propose(g, class, &state, scratch, k);
             // Deterministic commit in ascending node order (the class
             // order). Volumes shift as classmates land in the same target,
             // but their Δmod estimates used the frozen per-class state.
@@ -298,128 +268,6 @@ pub(crate) fn move_phase_colored(
         if sweep_moves == 0 {
             break;
         }
-    }
-
-    *zeta = Partition::from_vec(labels);
-    (total_moves, termination)
-}
-
-/// Modularity of `labels` evaluated with strictly sequential accumulation
-/// (the parallel [`crate::quality::modularity_gamma`] reduction is
-/// schedule-dependent in its float rounding, which must not gate a
-/// deterministic decision). Uses the maintained `volumes` for the degree
-/// term and one edge scan for the intra-community weight.
-// audit:allow(budget-propagation): one bounded edge scan per commit decision; the caller checks the budget per sweep
-fn modularity_seq(g: &Graph, labels: &[u32], volumes: &[f64], total: f64, gamma: f64) -> f64 {
-    let mut intra = vec![0.0f64; volumes.len()];
-    for u in g.nodes() {
-        let c = labels[u as usize];
-        for (v, w) in g.edges_of(u) {
-            // self-loops count once; other edges once via the v > u side
-            if v == u || (v > u && labels[v as usize] == c) {
-                intra[c as usize] += w;
-            }
-        }
-    }
-    let mut q = 0.0;
-    for (c, &w_in) in intra.iter().enumerate() {
-        let vol = volumes[c];
-        q += w_in / total - gamma * (vol / (2.0 * total)) * (vol / (2.0 * total));
-    }
-    q
-}
-
-/// The synchronized move phase (Chiêm et al. 2017). Every sweep: all
-/// nodes propose against the frozen previous assignment, the proposals
-/// commit in one deterministic node-order pass, and the sweep is kept only
-/// if it improves a sequentially-evaluated modularity — otherwise it is
-/// rolled back and the phase ends, which breaks label-chasing oscillation
-/// by construction. Singleton-to-singleton proposals are additionally
-/// damped by the minimum-label rule (only move toward a smaller community
-/// id), killing two-cycle swaps before they cost a rollback. The budget
-/// is tested once per sweep plus once per commit; interruption leaves the
-/// last committed sweep.
-pub(crate) fn move_phase_synchronized(
-    g: &Graph,
-    zeta: &mut Partition,
-    gamma: f64,
-    max_iterations: usize,
-    rec: &Recorder,
-    scratch: &ScratchPool,
-    budget: &Budget,
-) -> (u64, Termination) {
-    let n = g.node_count();
-    if n == 0 {
-        return (0, Termination::Converged);
-    }
-    let total = g.total_edge_weight();
-    if total == 0.0 {
-        return (0, Termination::Converged);
-    }
-    let (mut labels, mut volumes, k) = deterministic_state(g, zeta);
-    let mut sizes = vec![0u32; k];
-    for &c in &labels {
-        sizes[c as usize] += 1;
-    }
-    let nodes: Vec<Node> = g.nodes().collect();
-
-    let mut q_prev = modularity_seq(g, &labels, &volumes, total, gamma);
-    let mut total_moves = 0u64;
-    let mut termination = Termination::Converged;
-    for _ in 0..max_iterations {
-        if let Err(t) = budget.check_sweep() {
-            termination = t;
-            break;
-        }
-        let state = MoveState {
-            labels: &labels,
-            volumes: &volumes,
-            total,
-            gamma,
-        };
-        let sizes_ref = &sizes;
-        let labels_ref: &[u32] = &labels;
-        let proposals = propose(g, &nodes, &state, scratch, k, |u, d| {
-            // Minimum-label damping: a singleton may only move into
-            // another singleton with a smaller community id, so two
-            // mutually-attracted singletons cannot swap forever.
-            let c = labels_ref[u as usize];
-            sizes_ref[c as usize] != 1 || sizes_ref[d as usize] != 1 || d < c
-        });
-        if proposals.is_empty() {
-            break;
-        }
-        // Commit boundary: the previous sweep's state is consistent, so
-        // an expired budget stops before the commit rather than inside it.
-        if let Err(t) = budget.check() {
-            termination = t;
-            break;
-        }
-        let snapshot_labels = labels.clone();
-        let mut sweep_moves = 0u64;
-        for &(u, d) in &proposals {
-            let c = labels[u as usize];
-            let vol_u = g.volume(u);
-            volumes[c as usize] -= vol_u;
-            volumes[d as usize] += vol_u;
-            sizes[c as usize] -= 1;
-            sizes[d as usize] += 1;
-            labels[u as usize] = d;
-            sweep_moves += 1;
-        }
-        let q = modularity_seq(g, &labels, &volumes, total, gamma);
-        if q <= q_prev + 1e-12 {
-            // The frozen-state estimates conflicted (e.g. many nodes
-            // chased the same target): roll back and stop — later sweeps
-            // would reproduce the same proposals. The phase ends here, so
-            // only the labels need restoring.
-            labels = snapshot_labels;
-            rec.push_series("moves", 0.0);
-            break;
-        }
-        q_prev = q;
-        total_moves += sweep_moves;
-        rec.push_series("moves", sweep_moves as f64);
     }
 
     *zeta = Partition::from_vec(labels);
@@ -456,9 +304,6 @@ pub fn move_phase_strategy(
                 &budget,
             )
             .0
-        }
-        MoveStrategy::Synchronized => {
-            move_phase_synchronized(g, zeta, gamma, max_iterations, &rec, &scratch, &budget).0
         }
     }
 }
@@ -498,7 +343,7 @@ mod tests {
             assert_eq!(m.to_string(), m.wire_name());
         }
         let err = MoveStrategy::from_wire("eager").unwrap_err();
-        for name in ["racy", "coloring", "sync"] {
+        for name in ["racy", "coloring"] {
             assert!(err.contains(name), "{err} missing {name}");
         }
     }
@@ -514,25 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn synchronized_phase_improves_modularity() {
-        let (g, _) = ring_of_cliques(6, 6);
-        let mut zeta = Partition::singleton(g.node_count());
-        let before = modularity(&g, &zeta);
-        let moves = move_phase_strategy(&g, &mut zeta, 1.0, 32, MoveStrategy::Synchronized);
-        assert!(moves > 0);
-        assert!(modularity(&g, &zeta) > before);
-    }
-
-    #[test]
-    fn deterministic_phases_reproduce_exactly() {
+    fn colored_phase_reproduces_exactly() {
         let (g, _) = lfr(LfrParams::benchmark(600, 0.35), 3);
-        for strategy in [MoveStrategy::Coloring, MoveStrategy::Synchronized] {
-            let mut a = Partition::singleton(g.node_count());
-            let mut b = Partition::singleton(g.node_count());
-            move_phase_strategy(&g, &mut a, 1.0, 32, strategy);
-            move_phase_strategy(&g, &mut b, 1.0, 32, strategy);
-            assert_eq!(a.as_slice(), b.as_slice(), "{strategy} not reproducible");
-        }
+        let mut a = Partition::singleton(g.node_count());
+        let mut b = Partition::singleton(g.node_count());
+        move_phase_strategy(&g, &mut a, 1.0, 32, MoveStrategy::Coloring);
+        move_phase_strategy(&g, &mut b, 1.0, 32, MoveStrategy::Coloring);
+        assert_eq!(a.as_slice(), b.as_slice());
     }
 
     #[test]

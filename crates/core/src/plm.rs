@@ -17,7 +17,7 @@
 //! extra modularity at a small time cost (§III-C).
 
 use crate::algorithm::{guard_preflight, guarded_result, CommunityDetector, GuardedResult};
-use crate::moves::{move_phase_colored, move_phase_synchronized, MoveStrategy};
+use crate::moves::{move_phase_colored, MoveStrategy};
 use crate::quality::delta_modularity;
 use parcom_graph::{
     coarsen_with, AtomicF64, AtomicPartition, Coloring, Graph, Partition, ScratchPool,
@@ -54,8 +54,7 @@ pub struct Plm {
     /// Cap on the coarsening hierarchy depth.
     pub max_levels: usize,
     /// How the move phase schedules concurrent node moves (DESIGN.md §14):
-    /// the paper's racy default, coloring-isolated classes, or the
-    /// synchronized one-commit-per-sweep formulation. The latter two are
+    /// the paper's racy default or coloring-isolated classes, which are
     /// bit-deterministic at any thread count.
     pub move_strategy: MoveStrategy,
 }
@@ -141,15 +140,6 @@ impl Plm {
                 self.gamma,
                 self.max_move_iterations,
                 coloring.expect("coloring computed at level entry"),
-                rec,
-                scratch,
-                budget,
-            ),
-            MoveStrategy::Synchronized => move_phase_synchronized(
-                g,
-                zeta,
-                self.gamma,
-                self.max_move_iterations,
                 rec,
                 scratch,
                 budget,

@@ -103,7 +103,6 @@ fn move_knob_round_trips_both_wire_forms() {
     for (wire, strategy) in [
         ("racy", MoveStrategy::Racy),
         ("coloring", MoveStrategy::Coloring),
-        ("sync", MoveStrategy::Synchronized),
     ] {
         let spec = DetectorSpec::parse(&format!("plm:move={wire},seed=7")).unwrap();
         assert_eq!(spec.move_strategy, Some(strategy));
@@ -126,11 +125,17 @@ fn move_knob_round_trips_both_wire_forms() {
 
 #[test]
 fn unknown_move_value_enumerates_the_accepted_set() {
-    let err = DetectorSpec::parse("plm:move=eager").err().unwrap();
-    assert!(matches!(err, SpecError::BadValue { .. }), "{err:?}");
-    let message = err.to_string();
-    for value in ["racy", "coloring", "sync"] {
-        assert!(message.contains(value), "missing {value}: {message}");
+    // `sync` (the rejected synchronized strategy, DESIGN.md §14) has no alias
+    for err in [
+        DetectorSpec::parse("plm:move=eager").err().unwrap(),
+        DetectorSpec::parse("plm:move=sync").err().unwrap(),
+        DetectorSpec::parse_json("{\"algo\":\"plm\",\"move\":\"sync\"}")
+            .err()
+            .unwrap(),
+    ] {
+        assert!(matches!(err, SpecError::BadValue { .. }), "{err:?}");
+        let message = err.to_string();
+        assert!(message.contains("racy|coloring"), "{message}");
     }
 }
 
@@ -154,11 +159,11 @@ fn epp_and_eppr_forward_the_move_strategy_to_their_final_plm() {
         .build()
         .unwrap();
     assert_eq!(epp.name(), "EPP(4,PLP,PLM[coloring])");
-    let eppr = DetectorSpec::parse("eppr:move=sync")
+    let eppr = DetectorSpec::parse("eppr:move=coloring")
         .unwrap()
         .build()
         .unwrap();
-    assert_eq!(eppr.name(), "EPP(4,PLP,PLMR[sync])");
+    assert_eq!(eppr.name(), "EPP(4,PLP,PLMR[coloring])");
     // plm/plmr themselves carry the strategy in their names too
     assert_eq!(
         DetectorSpec::parse("plmr:move=coloring")

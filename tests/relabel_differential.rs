@@ -178,7 +178,7 @@ fn pcg_pipeline_matches_in_memory_relabeling_bit_for_bit() {
     });
 }
 
-/// The deterministic move strategies stay deterministic on the relabeled
+/// The deterministic move strategy stays deterministic on the relabeled
 /// view: 1 thread and 4 threads produce bit-identical partitions, which
 /// map back to bit-identical original-id partitions.
 #[test]
@@ -186,16 +186,15 @@ fn deterministic_strategies_survive_relabeling_across_thread_counts() {
     let g = barabasi_albert(800, 4, 17);
     let r = Relabeling::degree_ordered(&g);
     let h = r.apply(&g);
-    for strategy in [MoveStrategy::Coloring, MoveStrategy::Synchronized] {
-        let z1 = with_threads(1, || Plm::with_strategy(strategy).detect(&h));
-        let z4 = with_threads(4, || Plm::with_strategy(strategy).detect(&h));
-        assert_eq!(
-            z1.as_slice(),
-            z4.as_slice(),
-            "{strategy} differs across thread counts on the relabeled view"
-        );
-        assert_eq!(r.to_original(&z1).as_slice(), r.to_original(&z4).as_slice());
-    }
+    let plm = || Plm::with_strategy(MoveStrategy::Coloring);
+    let z1 = with_threads(1, || plm().detect(&h));
+    let z4 = with_threads(4, || plm().detect(&h));
+    assert_eq!(
+        z1.as_slice(),
+        z4.as_slice(),
+        "coloring differs across thread counts on the relabeled view"
+    );
+    assert_eq!(r.to_original(&z1).as_slice(), r.to_original(&z4).as_slice());
 }
 
 /// Detection on the relabeled view, mapped back, is a valid same-scale
