@@ -120,9 +120,9 @@ fn bench_aggregation_kernel(c: &mut Criterion) {
 }
 
 fn bench_move_strategy(c: &mut Criterion) {
-    // The two instances the baseline binary pins: planted communities and
-    // skewed degrees. The move phase starts from singletons (its worst
-    // case) so both strategies do the same logical work.
+    // Two seeded instances: planted communities and skewed degrees. The
+    // move phase starts from singletons (its worst case) so both
+    // strategies do the same logical work.
     let (lfr_graph, _) = lfr(LfrParams::benchmark(20_000, 0.3), 42);
     let rmat_graph = rmat(RmatParams::paper_with_edge_factor(15, 16), 42);
     let instances = [("lfr_20k", &lfr_graph), ("rmat_s15", &rmat_graph)];

@@ -4,7 +4,6 @@
 use parcom_core::quality::modularity;
 use parcom_core::CommunityDetector;
 use parcom_graph::{Graph, Partition};
-use parcom_obs::RunReport;
 use std::time::{Duration, Instant};
 
 /// One algorithm run on one instance.
@@ -20,9 +19,6 @@ pub struct Measurement {
     pub modularity: f64,
     /// Number of detected communities.
     pub communities: usize,
-    /// Structured phase report from the run (empty when `PARCOM_OBS`
-    /// disables instrumentation).
-    pub report: RunReport,
 }
 
 /// Times a closure.
@@ -39,7 +35,7 @@ pub fn run_measured(
     instance: &str,
 ) -> (Partition, Measurement) {
     let name = algo.name();
-    let ((zeta, report), elapsed) = time(|| algo.detect_with_report(g));
+    let (zeta, elapsed) = time(|| algo.detect(g));
     let q = modularity(g, &zeta);
     let m = Measurement {
         algorithm: name,
@@ -47,7 +43,6 @@ pub fn run_measured(
         time: elapsed,
         modularity: q,
         communities: zeta.number_of_subsets(),
-        report,
     };
     (zeta, m)
 }
@@ -185,9 +180,6 @@ mod tests {
         assert_eq!(m.communities, zeta.number_of_subsets());
         assert!(m.modularity > 0.5);
         assert!(m.time.as_nanos() > 0);
-        // the measurement carries the structured report of the same run
-        assert_eq!(m.report.algorithm, "PLP");
-        assert!(m.report.counter("communities").is_some());
     }
 
     #[test]

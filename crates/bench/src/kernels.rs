@@ -1,7 +1,6 @@
 //! The neighborhood-aggregation microkernel in its two formulations —
 //! hash-map tally vs the generation-stamped [`SparseWeightMap`] scratch —
-//! shared by the `kernels` criterion bench and the `baseline` binary so
-//! both measure exactly the same code.
+//! measured side by side by the `kernels` criterion bench.
 //!
 //! One "pass" visits every node, tallies edge weight per neighbor
 //! community (skipping self-loops, as every move kernel does), then takes

@@ -21,7 +21,7 @@
 //! | `--timeout SECS` | detect | cooperative wall-clock budget: the run stops at the next sweep/level boundary after `SECS` seconds and returns the best valid partition so far; the termination cause lands in the summary and in `--report json` |
 //! | `--max-sweeps N` | detect | cap on total sweeps/levels across the run, with the same graceful degradation |
 //! | `--max-nodes N` / `--max-edges M` | detect, serve | ingest limits: reject input whose header claims more, before allocating |
-//! | `--relabel` | detect, convert | degree-ordered (hub-first) node relabeling for cache locality (DESIGN.md §15): `convert` stores the reordered view plus its permutation in the `.pcg`; `detect` reorders at load. Per-node output is always mapped back to original ids |
+//! | `--relabel` | detect, convert | degree-ordered (hub-first) node relabeling (DESIGN.md §15): `convert` stores the reordered view plus its permutation in the `.pcg`; `detect` reorders at load. Per-node output is always mapped back to original ids. Not faster on 2 cores (PLP 0.85–1.02×, PLM 0.80–1.01× at t2), and racy PLP at t2 can collapse on a relabeled heavy-tailed graph |
 //! | `--out FILE` | generate, detect, cg, convert | output file (`convert` writes `parcom-graph-bin/v1`) |
 //! | `--socket PATH` / `--listen ADDR` | serve | where the resident daemon listens (Unix socket path / TCP address) |
 //! | `--state-dir DIR` | serve | crash-safe state directory (DESIGN.md §16): per-graph write-ahead logs + `.pcg` checkpoints, replayed on boot; omit to run volatile |

@@ -66,9 +66,9 @@ pub struct GraphEntry {
     wal: Option<WalWriter>,
     /// Sticky flag: a rebuild dropped the relabeling permutation (the
     /// mutated CSR no longer matches its degree order). Reported in batch
-    /// responses and stats so a lost relabeling never goes unnoticed: it
-    /// bought 1.07–1.27× on tally/PLP kernels in the committed baseline,
-    /// though PLM ran at 0.94× (BA) and 0.42× (R-MAT) on relabeled views.
+    /// responses and stats so a lost relabeling never goes unnoticed. On a
+    /// 2-core host relabeled views ran PLP at 0.85–1.02× and PLM at
+    /// 0.80–1.01× at t2 (DESIGN.md §15), so dropping it costs little.
     relabel_dropped: bool,
     /// Operations folded in since the last checkpoint; drives the
     /// automatic checkpoint cadence.
